@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use knor_core::centroids::{Centroids, LocalAccum};
 use knor_core::distance::{dist, nearest, sqdist};
-use knor_core::pruning::{mti_assign, MtiIterState, PruneCounters};
+use knor_core::pruning::{mti_assign, MtiIterState, MtiScratch, PruneCounters};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -44,10 +44,11 @@ fn bench_nearest_and_mti(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("full_scan", k), &k, |bench, &k| {
             bench.iter(|| nearest(black_box(&v), black_box(&cents.means), k))
         });
+        let mut scratch = MtiScratch::default();
         g.bench_with_input(BenchmarkId::new("mti", k), &k, |bench, _| {
             bench.iter(|| {
                 let mut counters = PruneCounters::default();
-                mti_assign(black_box(&v), &cents, &state, a, da, &mut counters)
+                mti_assign(black_box(&v), &cents, &state, a, da, &mut scratch, &mut counters)
             })
         });
     }

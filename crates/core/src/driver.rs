@@ -47,7 +47,7 @@ use crate::distance::{dist, nearest, MIRROR_MAX_K};
 use crate::kernel::{
     assign_rows, centroid_sqnorms, sqnorm, KernelKind, KernelScratch, ResolvedKernel, ResolvedKind,
 };
-use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, YinyangState};
+use crate::pruning::{mti_assign, MtiIterState, MtiScratch, PruneCounters, Pruning, YinyangState};
 use crate::replica::{NodeReplicas, OpLog, ReplicaState};
 use crate::stats::IterStats;
 use crate::sync::ExclusiveCell;
@@ -895,7 +895,7 @@ pub fn drain_queue_kernel<'data, F>(
     }
     let full_scan = view.iter == 0 || !view.pruning;
     if !full_scan || view.kernel.kind == ResolvedKind::Scalar {
-        drain_queue(w, view, accum, rep, fetch);
+        drain_queue(w, view, accum, rep, &mut scratch.mti, fetch);
         return;
     }
     let d = view.cents.d;
@@ -1090,7 +1090,8 @@ pub fn process_block_algo<I>(
 /// Drain worker `w`'s share of the task queue, dispatching every row
 /// through the shared MTI/full-scan state machine. `fetch` supplies a
 /// row's data (and may record backend bookkeeping like access tallies);
-/// it is only called for rows that survive the Clause-1 filter.
+/// it is only called for rows that survive the Clause-1 filter. `mti` is
+/// the worker's reusable MTI candidate scratch.
 ///
 /// Backends with per-row data access (knori, knord) build their whole
 /// compute super-phase from this (through [`drain_queue_kernel`]); knors
@@ -1101,6 +1102,7 @@ pub fn drain_queue<'data, F>(
     view: &IterView<'_>,
     accum: &mut LocalAccum,
     rep: &mut WorkerReport,
+    mti: &mut MtiScratch,
     mut fetch: F,
 ) where
     F: FnMut(usize) -> &'data [f64],
@@ -1150,6 +1152,7 @@ pub fn drain_queue<'data, F>(
                     view.assign,
                     view.upper,
                     accum,
+                    mti,
                     &mut rep.counters,
                 ));
             } else {
@@ -1222,12 +1225,13 @@ pub fn process_row_mti(
     assign: &SharedRows<u32>,
     upper: &SharedRows<f64>,
     accum: &mut LocalAccum,
+    scratch: &mut MtiScratch,
     counters: &mut PruneCounters,
 ) -> bool {
     // Safety: task-exclusive row ownership (see doc).
     let a = unsafe { *assign.get(r) } as usize;
     let ub = unsafe { *upper.get(r) };
-    let (new_a, new_ub) = mti_assign(v, cents, mti, a, ub, counters);
+    let (new_a, new_ub) = mti_assign(v, cents, mti, a, ub, scratch, counters);
     let reassigned = new_a != a;
     if reassigned {
         accum.sub(a, v);

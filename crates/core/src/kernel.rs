@@ -27,10 +27,13 @@
 //!
 //! MTI iterations (`iter > 0` with pruning on) keep the per-row clause
 //! machine — each row carries its own bound state, so there is no shared
-//! centroid tile to batch against.
+//! centroid tile to batch against. What they batch instead is one row's
+//! surviving candidates: `sqdist_candidates` scores a gathered candidate
+//! list four centroids per step, bitwise equal to [`sqdist`].
 
 use crate::centroids::Centroids;
 use crate::distance::{nearest, sqdist};
+use crate::pruning::MtiScratch;
 
 /// Which assignment kernel a run requests (the `DriverConfig` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -211,6 +214,8 @@ pub struct KernelScratch {
     /// Row ids staged in `data`, in staging order (generic algorithm path,
     /// where subsampling can make a staged block non-contiguous in row id).
     pub row_ids: Vec<usize>,
+    /// MTI candidate pass buffers (pruned iterations).
+    pub mti: MtiScratch,
 }
 
 impl KernelScratch {
@@ -222,6 +227,7 @@ impl KernelScratch {
             best_dist: Vec::with_capacity(rk.row_tile),
             weights: Vec::with_capacity(rk.row_tile),
             row_ids: Vec::with_capacity(rk.row_tile),
+            mti: MtiScratch::default(),
         }
     }
 }
@@ -596,6 +602,48 @@ mod x86 {
             sqdist,
             |_, s| s,
         );
+    }
+
+    /// [`super::sqdist_candidates`], AVX-enabled: four candidates per
+    /// step, the `< 4` leftover through `sqdist`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX support at runtime.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn sqdist_candidates_avx(v: &[f64], means: &[f64], cand: &[u32], out: &mut [f64]) {
+        use std::arch::x86_64::*;
+        let d = v.len();
+        let full = d - d % 4;
+        let mut ids4 = cand.chunks_exact(4);
+        let mut out4 = out.chunks_exact_mut(4);
+        for (ids, o) in ids4.by_ref().zip(out4.by_ref()) {
+            let row = |i: usize| &means[ids[i] as usize * d..][..d];
+            let cs = [row(0), row(1), row(2), row(3)];
+            let mut acc = [_mm256_setzero_pd(); 4];
+            let mut j = 0usize;
+            while j < full {
+                let vv = _mm256_loadu_pd(v.as_ptr().add(j));
+                for (a, c) in acc.iter_mut().zip(&cs) {
+                    let diff = _mm256_sub_pd(vv, _mm256_loadu_pd(c.as_ptr().add(j)));
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(diff, diff));
+                }
+                j += 4;
+            }
+            for ((a, c), o) in acc.iter().zip(&cs).zip(o.iter_mut()) {
+                let mut lanes = [0.0f64; 4];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), *a);
+                // Same summation order as `sqdist`: ((l0 + l1) + l2) + l3.
+                let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+                for jj in full..d {
+                    let diff = v[jj] - c[jj];
+                    sum += diff * diff;
+                }
+                *o = sum;
+            }
+        }
+        for (o, &c) in out4.into_remainder().iter_mut().zip(ids4.remainder()) {
+            *o = sqdist(v, &means[c as usize * d..(c as usize + 1) * d]);
+        }
     }
 
     /// [`super::assign_tile_normtrick`]'s scan, AVX-enabled.
@@ -1232,6 +1280,29 @@ fn sqdist4(rows: &[&[f64]; 4], c: &[f64]) -> [f64; 4] {
         out[r] = sum;
     }
     out
+}
+
+/// Exact squared distances from one row `v` to a gathered list of
+/// centroids: `out[i] = sqdist(v, centroid cand[i])`, bitwise, where
+/// `means` is the row-major `k × d` centroid matrix. The MTI candidate
+/// pass scores every candidate that survived its clause sweeps in one call.
+///
+/// Under AVX the kernel walks the list four centroids per step, loading
+/// each chunk of `v` once for all four, with the same 4-lane chunking and
+/// `((l0 + l1) + l2) + l3` lane sum as `sqdist` (and no FMA). Leftover
+/// candidates, and machines without AVX, use `sqdist` itself.
+pub(crate) fn sqdist_candidates(v: &[f64], means: &[f64], cand: &[u32], out: &mut [f64]) {
+    debug_assert_eq!(cand.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    if avx_usable() {
+        // Safety: AVX support verified at runtime.
+        unsafe { x86::sqdist_candidates_avx(v, means, cand, out) };
+        return;
+    }
+    let d = v.len();
+    for (o, &c) in out.iter_mut().zip(cand) {
+        *o = sqdist(v, &means[c as usize * d..(c as usize + 1) * d]);
+    }
 }
 
 /// The norm-trick primitive: per row, minimize `‖c‖² − 2·x·c` (adding `‖x‖²`

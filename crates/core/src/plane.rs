@@ -37,7 +37,7 @@ use crate::driver::{
     process_row_mti, process_row_yy, yy_init_bounds, IterView, LloydBackend, WorkerReport,
 };
 use crate::kernel::{KernelScratch, ResolvedKernel, ResolvedKind};
-use crate::pruning::Pruning;
+use crate::pruning::{MtiScratch, Pruning};
 use crate::stats::IterStats;
 use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, WorkerTracer};
@@ -143,6 +143,8 @@ pub struct StagedScratch {
     pub best_dist: Vec<f64>,
     /// Per-row contribution weights (generic algorithm path).
     pub weights: Vec<f64>,
+    /// MTI candidate pass buffers.
+    pub mti: MtiScratch,
     /// Recycled Clause-1 `needed` buffers (two alive at pipeline depth 2).
     free_needed: Vec<Vec<usize>>,
 }
@@ -353,6 +355,7 @@ fn commit_staged(
                     view.assign,
                     view.upper,
                     accum,
+                    &mut scratch.mti,
                     &mut rep.counters,
                 )
             }

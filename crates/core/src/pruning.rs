@@ -19,7 +19,8 @@
 //! the unpruned path bit for bit.
 
 use crate::centroids::Centroids;
-use crate::distance::{centroid_distances, dist};
+use crate::distance::{centroid_distances, dist, sqdist, MIRROR_MAX_K};
+use crate::kernel::sqdist_candidates;
 
 /// Which pruning scheme an engine applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,6 +253,27 @@ impl MtiIterState {
         0.5 * self.ccdist[lo * self.k + hi]
     }
 
+    /// Set bit `c % 64` of `mask[c / 64]` for every `c ≠ a` with
+    /// `½·d(a, c) < t`, clear every other bit, and return how many are set.
+    /// Reads the entries [`Self::half_cc`] reads: row `a` in one contiguous
+    /// pass, except that an unmirrored table (`k > MIRROR_MAX_K`) holds the
+    /// `c < a` entries in column `a`.
+    pub(crate) fn mark_below(&self, a: usize, t: f64, mask: &mut [u64]) -> usize {
+        let k = self.k;
+        debug_assert_eq!(mask.len(), k.div_ceil(64));
+        mask.fill(0);
+        let split = if k <= MIRROR_MAX_K { 0 } else { a };
+        for c in 0..split {
+            mask[c / 64] |= u64::from(0.5 * self.ccdist[c * k + a] < t) << (c % 64);
+        }
+        let row = &self.ccdist[a * k + split..(a + 1) * k];
+        for (c, &x) in (split..k).zip(row) {
+            mask[c / 64] |= u64::from(0.5 * x < t) << (c % 64);
+        }
+        mask[a / 64] &= !(1 << (a % 64));
+        mask.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Heap bytes held (`O(k²)` of Table 1's knori/knord rows).
     pub fn heap_bytes(&self) -> u64 {
         ((self.ccdist.len() + self.half_min.len() + self.drift.len()) * 8) as u64
@@ -263,11 +285,15 @@ impl MtiIterState {
 pub struct PruneCounters {
     /// Rows skipped entirely by Clause 1 (no data access / no I/O).
     pub clause1_rows: u64,
-    /// Candidate distance computations pruned by Clause 2.
+    /// Candidates pruned by Clause 2: `ub ≤ ½·d(a, c)` for the row's
+    /// drift-loosened upper bound `ub`.
     pub clause2_prunes: u64,
-    /// Candidate distance computations pruned by Clause 3 (post-tighten).
+    /// Candidates that passed Clause 2 but are pruned by Clause 3: the same
+    /// test against the bound tightened to the exact `d(v, a)`.
     pub clause3_prunes: u64,
-    /// Exact distance computations performed.
+    /// Exact distance computations performed (under MTI: one tighten per
+    /// row that Clause 2 left a candidate for, plus every scored
+    /// candidate).
     pub dist_computations: u64,
     /// Rows whose *fetch* a staged (SEM) plane skipped because the row was
     /// bound-pruned before its data was needed. A subset of
@@ -292,6 +318,18 @@ impl PruneCounters {
     }
 }
 
+/// One worker's MTI candidate buffers, reused across rows and iterations.
+/// Grow-only: sized to `k` on the first pruned row, then never reallocated.
+#[derive(Debug, Default)]
+pub struct MtiScratch {
+    /// Clause-2 survivors as a bitset (`⌈k/64⌉` words).
+    mask: Vec<u64>,
+    /// Candidate centroid ids that survived both clause sweeps.
+    cand: Vec<u32>,
+    /// Squared distances of the scored candidates.
+    scores: Vec<f64>,
+}
+
 /// Evaluate one point under MTI against the current centroids.
 ///
 /// `a` is the current assignment, `ub` the (already drift-loosened) upper
@@ -299,6 +337,18 @@ impl PruneCounters {
 /// pruning outcomes. The caller has already decided Clause 1 did not fire
 /// (Clause 1 is checked *before* the row data is fetched — that is where
 /// knors saves its I/O).
+///
+/// Two branchless sweeps select the candidates. The Clause 2 sweep marks
+/// every `c ≠ a` with `½·d(a, c) < ub` in one pass over `a`'s row of the
+/// centroid table (`MtiIterState::mark_below`). If none is marked, the
+/// row keeps `(a, ub)` untightened. Otherwise one exact distance tightens
+/// the bound to `u = d(v, a)`, and the Clause 3 sweep compacts the marked
+/// ids with `½·d(a, c) < u` into a list. The list is scored in one
+/// `kernel::sqdist_candidates` call, and the argmin over `a` and the scored
+/// candidates follows [`crate::distance::nearest`]'s rule: smallest squared
+/// distance, lowest index among equal minima. A pruned `c` has
+/// `d(v, c) ≥ d(a, c) − d(v, a) ≥ d(v, a)`, so the winner is the exact
+/// nearest centroid and the returned bound is exactly its distance.
 #[inline]
 pub fn mti_assign(
     v: &[f64],
@@ -306,45 +356,57 @@ pub fn mti_assign(
     state: &MtiIterState,
     a: usize,
     ub: f64,
+    scratch: &mut MtiScratch,
     counters: &mut PruneCounters,
 ) -> (usize, f64) {
     let k = cents.k();
-    let mut cur = a;
-    let mut bound = ub;
-    let mut tight = false;
-    for c in 0..k {
-        if c == cur {
-            continue;
-        }
-        let threshold = state.half_cc(cur, c);
-        if bound <= threshold {
-            counters.clause2_prunes += 1;
-            continue;
-        }
-        if !tight {
-            // U(u_t): fully tighten the upper bound with one exact distance.
-            bound = dist(v, cents.mean(cur));
-            counters.dist_computations += 1;
-            tight = true;
-            if bound <= threshold {
-                counters.clause3_prunes += 1;
-                continue;
-            }
-        }
-        let dc = dist(v, cents.mean(c));
-        counters.dist_computations += 1;
-        if dc < bound {
-            cur = c;
-            bound = dc; // exact: reassignment keeps the bound tight
+    let words = k.div_ceil(64);
+    if scratch.cand.len() < k {
+        scratch.mask.resize(words, 0);
+        scratch.cand.resize(k, 0);
+        scratch.scores.resize(k, 0.0);
+    }
+    let mask = &mut scratch.mask[..words];
+    let n = state.mark_below(a, ub, mask);
+    counters.clause2_prunes += (k - 1 - n) as u64;
+    if n == 0 {
+        return (a, ub);
+    }
+    // U(u_t): fully tighten the upper bound with one exact distance.
+    let mut best_sq = sqdist(v, cents.mean(a));
+    let u = best_sq.sqrt();
+    // Clause 3 sweep: store every marked id, advance past the kept ones.
+    let cand = &mut scratch.cand;
+    let mut m = 0;
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let c = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            cand[m] = c as u32;
+            m += usize::from(state.half_cc(a, c) < u);
         }
     }
-    (cur, bound)
+    counters.clause3_prunes += (n - m) as u64;
+    counters.dist_computations += 1 + m as u64;
+    let scores = &mut scratch.scores[..m];
+    sqdist_candidates(v, &cents.means, &cand[..m], scores);
+    let mut best = a;
+    for (&c, &s) in cand[..m].iter().zip(scores.iter()) {
+        let c = c as usize;
+        if s < best_sq || (s == best_sq && c < best) {
+            best = c;
+            best_sq = s;
+        }
+    }
+    (best, best_sq.sqrt())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distance::nearest;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -369,6 +431,7 @@ mod tests {
         }
         let mut state = MtiIterState::new(k);
         state.update(&prev, &cents);
+        let mut scratch = MtiScratch::default();
 
         for _ in 0..500 {
             let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-6.0..6.0)).collect();
@@ -376,7 +439,8 @@ mod tests {
             let (a_prev, d_prev) = nearest(&v, &prev.means, k);
             let ub = d_prev + state.drift[a_prev]; // loosened bound
             let mut counters = PruneCounters::default();
-            let (a_new, ub_new) = mti_assign(&v, &cents, &state, a_prev, ub, &mut counters);
+            let (a_new, ub_new) =
+                mti_assign(&v, &cents, &state, a_prev, ub, &mut scratch, &mut counters);
             let (a_exact, d_exact) = nearest(&v, &cents.means, k);
             let d_new = dist(&v, cents.mean(a_new));
             assert!(
@@ -415,24 +479,40 @@ mod tests {
 
     #[test]
     fn counters_account_for_all_candidates() {
+        // Every one of the k − 1 candidates is pruned by clause 2, pruned
+        // by clause 3 or scored; a row clause 2 left a candidate for also
+        // pays exactly one tighten distance.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let k = 10;
         let d = 4;
         let cents = random_centroids(k, d, &mut rng);
         let mut state = MtiIterState::new(k);
         state.update(&cents.clone(), &cents);
-        let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let (a, da) = nearest(&v, &cents.means, k);
-        let mut counters = PruneCounters::default();
-        let _ = mti_assign(&v, &cents, &state, a, da, &mut counters);
-        // Each of the k-1 candidates is pruned (2 or 3) or computed; plus at
-        // most one tighten computation.
-        let candidates = counters.clause2_prunes
-            + counters.clause3_prunes
-            + counters.dist_computations.saturating_sub(u64::from(
-                counters.dist_computations > 0 && counters.clause3_prunes > 0,
-            ));
-        assert!(candidates >= (k - 1) as u64 - 1, "counters {counters:?}");
+        let mut scratch = MtiScratch::default();
+        let (mut untightened, mut tightened, mut clause3) = (0, 0, 0);
+        for i in 0..400 {
+            let a = i % k;
+            // Rows near centroid `a` with bounds from tight to very loose.
+            let v: Vec<f64> = cents.mean(a).iter().map(|x| x + rng.gen_range(-1.0..1.0)).collect();
+            let ub = dist(&v, cents.mean(a)) * rng.gen_range(1.0..3.0);
+            let mut c = PruneCounters::default();
+            let _ = mti_assign(&v, &cents, &state, a, ub, &mut scratch, &mut c);
+            let tighten = u64::from(c.clause2_prunes < (k - 1) as u64);
+            assert_eq!(
+                c.clause2_prunes + c.clause3_prunes + c.dist_computations - tighten,
+                (k - 1) as u64,
+                "counters {c:?}"
+            );
+            if tighten == 0 {
+                assert_eq!(c.dist_computations, 0, "counters {c:?}");
+                untightened += 1;
+            } else {
+                tightened += 1;
+            }
+            clause3 += c.clause3_prunes;
+        }
+        assert!(untightened > 0 && tightened > 0, "{untightened} / {tightened}");
+        assert!(clause3 > 0, "the tightened bound never pruned a candidate");
     }
 
     #[test]
@@ -449,12 +529,14 @@ mod tests {
         }
         let mut state = MtiIterState::new(k);
         state.update(&prev, &cents);
+        let mut scratch = MtiScratch::default();
         for _ in 0..200 {
             let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-6.0..6.0)).collect();
             let (a_prev, d_prev) = nearest(&v, &prev.means, k);
             let ub = d_prev + state.drift[a_prev];
             let mut counters = PruneCounters::default();
-            let (a_new, _) = mti_assign(&v, &cents, &state, a_prev, ub, &mut counters);
+            let (a_new, _) =
+                mti_assign(&v, &cents, &state, a_prev, ub, &mut scratch, &mut counters);
             let (a_exact, _) = nearest(&v, &cents.means, k);
             assert_eq!(a_new, a_exact);
         }
@@ -541,5 +623,86 @@ mod tests {
         // ccdist between (0,4) and (3,0) is 5.
         assert!((s.half_cc(0, 1) - 2.5).abs() < 1e-12);
         assert_eq!(s.half_min, vec![2.5, 2.5]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The candidate pass is exact against `nearest` on random data:
+        /// `d % 4 ≠ 0`, k = 1, k = 2 and k = 65 (above `MIRROR_MAX_K`, so
+        /// only the upper triangle of the table is filled), with duplicated
+        /// centroids for exact ties. A duplicate of `a` is never pruned
+        /// (`½·d(a, c) = 0 < ub`), so ties reach the argmin.
+        #[test]
+        fn mti_assign_and_nearest_are_exact(
+            ki in 0usize..3,
+            d in 1usize..11,
+            seed in 0u64..u64::MAX,
+        ) {
+            let k = [1usize, 2, crate::distance::MIRROR_MAX_K + 1][ki];
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let prev = random_centroids(k, d, &mut rng);
+            let mut cents = prev.clone();
+            for x in cents.means.iter_mut() {
+                *x += rng.gen_range(-0.1..0.1);
+            }
+            // Duplicate pairs (a higher copy of a lower index).
+            for c in [k - 1, k / 2, k / 3] {
+                let src = rng.gen_range(0..=c);
+                let row = cents.mean(src).to_vec();
+                cents.means[c * d..(c + 1) * d].copy_from_slice(&row);
+            }
+            let mut state = MtiIterState::new(k);
+            state.update(&prev, &cents);
+            let mut scratch = MtiScratch::default();
+            let mut sq = vec![0.0; k];
+            for _ in 0..40 {
+                let near = cents.mean(rng.gen_range(0..k)).to_vec();
+                let v: Vec<f64> = near.iter().map(|x| x + rng.gen_range(-0.5..0.5)).collect();
+
+                // nearest: the lowest index among equal minimal squares.
+                let all: Vec<u32> = (0..k as u32).collect();
+                sqdist_candidates(&v, &cents.means, &all, &mut sq);
+                for (c, s) in sq.iter().enumerate() {
+                    prop_assert_eq!(s.to_bits(), sqdist(&v, cents.mean(c)).to_bits());
+                }
+                let min = sq.iter().copied().fold(f64::INFINITY, f64::min);
+                let first = sq.iter().position(|&s| s == min).unwrap();
+                let (a_exact, d_exact) = nearest(&v, &cents.means, k);
+                prop_assert_eq!(a_exact, first);
+                prop_assert_eq!(d_exact.to_bits(), min.sqrt().to_bits());
+
+                // A gathered list with repeats and every length mod 4.
+                let list: Vec<u32> =
+                    (0..rng.gen_range(0..2 * k + 4)).map(|_| rng.gen_range(0..k as u32)).collect();
+                let mut got = vec![f64::NAN; list.len()];
+                sqdist_candidates(&v, &cents.means, &list, &mut got);
+                for (&c, g) in list.iter().zip(&got) {
+                    prop_assert_eq!(g.to_bits(), sq[c as usize].to_bits());
+                }
+
+                // Any current assignment with a valid bound: tight, a
+                // little loose, or so loose that nothing is pruned.
+                let a = if rng.gen_bool(0.5) { nearest(&v, &prev.means, k).0 } else { rng.gen_range(0..k) };
+                let slack = [0.0, rng.gen_range(0.0..0.5), 100.0][rng.gen_range(0..3usize)];
+                let ub = dist(&v, cents.mean(a)) + slack;
+                let mut counters = PruneCounters::default();
+                let (a_new, ub_new) =
+                    mti_assign(&v, &cents, &state, a, ub, &mut scratch, &mut counters);
+                prop_assert_eq!(a_new, a_exact);
+                prop_assert!(ub_new >= d_exact, "bound {} below {}", ub_new, d_exact);
+                let tighten = u64::from(counters.clause2_prunes < (k - 1) as u64);
+                prop_assert_eq!(
+                    counters.clause2_prunes + counters.clause3_prunes + counters.dist_computations
+                        - tighten,
+                    (k - 1) as u64
+                );
+                if counters.dist_computations > 0 {
+                    prop_assert_eq!(ub_new.to_bits(), d_exact.to_bits());
+                } else {
+                    prop_assert_eq!(ub_new.to_bits(), ub.to_bits());
+                }
+            }
+        }
     }
 }

@@ -253,3 +253,50 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
     std::fs::remove_file(&file).unwrap();
     std::fs::remove_file(&cache).unwrap();
 }
+
+/// Assert `args` ends in exactly one `knor: …` line on stderr and exit 2.
+fn assert_one_line_exit_two(args: &[&str]) -> String {
+    let out = knor().args(args).output().expect("spawn knor");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {err}");
+    assert!(err.starts_with("knor: "), "{args:?} → {err:?}");
+    assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: one-line error, got {err:?}");
+    err
+}
+
+#[test]
+fn k_above_n_and_unreadable_files_exit_two_without_panicking() {
+    let file = tmp("small.knor");
+    let gen = knor()
+        .args(["gen", file.to_str().unwrap(), "--dataset", "friendster8", "--scale", "0.00001"])
+        .output()
+        .expect("spawn gen");
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let f = file.to_str().unwrap();
+    for mode in [&["im"][..], &["sem"], &["dist"], &["dist", "--plane", "sem"]] {
+        let mut args = vec![mode[0], f, "-k", "5000"];
+        args.extend(&mode[1..]);
+        let err = assert_one_line_exit_two(&args);
+        assert!(err.contains("exceeds"), "{args:?} → {err:?}");
+    }
+
+    // A payload cut short (header intact) and an empty file.
+    let bytes = std::fs::read(&file).unwrap();
+    let truncated = tmp("truncated.knor");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    let empty = tmp("empty.knor");
+    std::fs::write(&empty, b"").unwrap();
+    for bad in [&truncated, &empty] {
+        let b = bad.to_str().unwrap();
+        for mode in [&["im"][..], &["sem"], &["dist"], &["dist", "--plane", "sem"]] {
+            let mut args = vec![mode[0], b, "-k", "4", "-i", "3"];
+            args.extend(&mode[1..]);
+            let err = assert_one_line_exit_two(&args);
+            assert!(err.contains("cannot read"), "{args:?} → {err:?}");
+        }
+    }
+
+    for p in [&file, &truncated, &empty] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
